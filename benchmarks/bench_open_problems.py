@@ -6,7 +6,8 @@ do not know whether these inclusions are strict").  This bench computes
 the bounded greatest fixpoints and reports what they say:
 
 * ``LC ⊆ NW*`` holds on every fragment (forced by Theorem 9.3; checked
-  anyway), and pairs in ``NW* \\ LC`` *persist* as the bound grows —
+  anyway), and pairs in ``NW* \\ LC`` *persist* as the bound grows
+  (checked up to n ≤ 6) —
   bounded-universe evidence that **LC ⊊ NW* is strict**.  The smallest
   persistent candidate has 3 nodes: a read observing a concurrent write
   followed by a ⊥-read, which no augmentation can kill because the
@@ -54,6 +55,22 @@ def test_nw_star_candidates_persist_at_larger_bound(benchmark):
     # And at this bound the fixpoint genuinely pruned something, so the
     # persistence is meaningful.
     assert report.pruned_pairs > 0
+
+
+def test_nw_star_candidates_persist_at_six_nodes(benchmark):
+    """One bound further: n ≤ 6, sound to 5 nodes (319,363 pairs
+    compared).  The 3-node candidates still survive."""
+    universe = Universe(max_nodes=6, locations=("x",), include_nop=False)
+    report = benchmark.pedantic(
+        explore_star_vs_lc, args=(NW, universe), rounds=1
+    )
+    print()
+    print(render_star_report(report))
+    assert not report.soundness_violations
+    assert report.strictness_candidates
+    assert min(c.num_nodes for c, _ in report.strictness_candidates) == 3
+    assert (report.rounds, report.pruned_pairs) == (2, 396)
+    assert report.pairs_compared == 319363
 
 
 def test_wn_star_resolution(benchmark):

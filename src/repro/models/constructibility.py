@@ -17,7 +17,7 @@ This module provides:
   for a pair that cannot be extended (e.g. rediscovers Figure 4 for NN).
 * :func:`constructible_version` — the bounded-universe greatest-fixpoint
   computation of Δ* (Definition 8), used by the Theorem 23 benchmark to
-  verify ``NN* = LC``.
+  verify ``NN* = LC`` and by the Section 7 open-problem exploration.
 * :func:`is_constructible_prefix_definition` — the literal Definition 6
   check over all prefixes of a computation (exponential; used in tests to
   validate the Theorem 12 reduction).
@@ -31,10 +31,23 @@ greatest fixpoint of the pruning operator
 
 (for monotonic Δ, by Theorem 12).  Restricted to computations of at most
 ``n`` nodes, augmentations of size-``n`` computations fall outside the
-universe; those pairs are kept *optimistically*.  After ``t`` pruning
-rounds the result is exact for computations of size ``≤ n - t`` **when
-the iteration converged for them**; :func:`constructible_version` tracks
-and reports the sound size bound.
+universe, so frontier (size-``n``) pairs are kept *optimistically*: the
+bounded Δ* answers them with Δ itself.  Because ``aug_o(C)`` always has
+``|C| + 1`` nodes, a pair below the frontier depends only on pairs one
+size up, so :func:`constructible_version` decides each pair once, from
+size ``n - 1`` down to 0, and never enumerates the frontier: its pairs
+are only looked up, as augmentations of size-``n - 1`` members.  The
+result is exact for sizes ``≤ n - 1`` relative to the optimistic
+frontier, which is the sound bound it reports.
+
+The reported ``rounds`` are those of the equivalent round-robin sweep,
+which re-tests every pair against the previous round's survivors until
+nothing changes.  That sweep removes a pair ``p`` in round
+
+    ``R(p) = min over o of (1 + max over Δ-members e of ext(p, o) of R(e))``
+
+(an empty max is 0; frontier pairs and survivors have ``R = ∞``), so it
+runs ``max finite R + 1`` rounds, or 1 when nothing is pruned.
 """
 
 from __future__ import annotations
@@ -42,9 +55,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import inf
 from typing import Iterable, Iterator
 
-from repro import _caching
+from repro import _caching, obs
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Op, Location
@@ -190,14 +204,19 @@ class ConstructibleVersionResult:
     Attributes
     ----------
     model:
-        The pruned pairs as an :class:`~repro.models.base.ExplicitModel`.
+        The bounded Δ*: the surviving pairs of every size below the
+        frontier, stored explicitly, plus Δ itself on frontier
+        (size-``max_nodes``) computations of the universe, which are
+        kept optimistically.  ``model.computations()`` lists only the
+        stored sizes.
     sound_max_nodes:
-        Sizes up to this bound are *exactly* Δ* restricted to the
-        universe's alphabet/locations; larger sizes may still contain
-        optimistically-kept pairs.
+        Sizes up to this bound are decided: the greatest fixpoint over
+        the universe's alphabet/locations given the optimistic
+        frontier.  The frontier itself is not pruned.
     rounds:
-        Number of pruning sweeps executed (including the final sweep that
-        made no change).
+        Length of the equivalent round-robin pruning sweep (every round
+        re-tests every pair against the previous round's survivors),
+        counting the final sweep that removes nothing.
     pruned_pairs:
         Total number of pairs removed from the original model.
     """
@@ -208,63 +227,114 @@ class ConstructibleVersionResult:
     pruned_pairs: int
 
 
+class _BoundedStar(ExplicitModel):
+    """Explicit pairs below the frontier, Δ on the universe's frontier."""
+
+    def __init__(
+        self,
+        pairs: Iterable[tuple[Computation, ObserverFunction]],
+        base: MemoryModel,
+        universe: Universe,
+        name: str,
+    ) -> None:
+        super().__init__(pairs, name=name)
+        self._base = base
+        self._universe = universe
+
+    def contains(self, comp: Computation, phi: ObserverFunction) -> bool:
+        if comp.num_nodes < self._universe.max_nodes:
+            return super().contains(comp, phi)
+        return comp in self._universe and cached_membership(
+            self._base, comp, phi
+        )
+
+    def observers(
+        self,
+        comp: Computation,
+        locations: Iterable[Location] | None = None,
+    ) -> Iterator[ObserverFunction]:
+        if comp.num_nodes < self._universe.max_nodes:
+            return super().observers(comp)
+        return MemoryModel.observers(self, comp)
+
+
 def constructible_version(
     model: MemoryModel, universe: Universe, name: str | None = None
 ) -> ConstructibleVersionResult:
     """Compute Δ* on a bounded universe by greatest-fixpoint pruning.
 
+    One pass from size ``max_nodes - 1`` down to 0: a pair's extensions
+    all sit one size up and are already decided, and frontier
+    extensions are looked up in Δ itself, so only sizes below the
+    frontier are ever enumerated.  Each pruned pair is given the round
+    ``R`` in which the round-robin sweep would remove it (see the module
+    docstring), which is what ``rounds`` reports.
+
     Requires ``model`` to be monotonic for the Theorem-12 augmentation
     test to coincide with Definition 6 (all models shipped in this
     package are; see the monotonicity tests).
     """
-    # Materialize Δ restricted to the universe, grouped by computation.
-    members: dict[Computation, set[ObserverFunction]] = {}
-    for comp, phi in universe.model_pairs(model):
-        members.setdefault(comp, set()).add(phi)
-
     alphabet = universe.alphabet
     max_n = universe.max_nodes
+    kept: list[tuple[Computation, ObserverFunction]] = []
+    # Round of every Δ pair one size up (inf = survives); None until the
+    # first level, whose extensions are frontier pairs looked up in Δ.
+    above: dict[Computation, dict[ObserverFunction, float]] | None = None
+    frontier_checks = 0
 
-    def survives(comp: Computation, phi: ObserverFunction) -> bool:
+    def round_above(aug: Computation, phi2: ObserverFunction) -> float | None:
+        nonlocal frontier_checks
+        if above is not None:
+            return above.get(aug, {}).get(phi2)
+        frontier_checks += 1
+        return inf if cached_membership(model, aug, phi2) else None
+
+    def removal_round(comp: Computation, phi: ObserverFunction) -> float:
+        best = inf
         for o in alphabet:
-            ok = False
+            latest: float = 0
             for aug, phi2 in _extension_pairs(comp, phi, o):
-                if phi2 in members.get(aug, ()):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+                r = round_above(aug, phi2)
+                if r is not None and r > latest:
+                    latest = r
+                    if r == inf:
+                        break
+            best = min(best, latest + 1)
+            if best == 1:
+                break
+        return best
 
     pruned_total = 0
-    rounds = 0
-    while True:
-        rounds += 1
-        removed_this_round = 0
-        # Frontier pairs (size == max_n) have augmentations outside the
-        # universe; keep them optimistically.
-        for comp in list(members):
-            if comp.num_nodes >= max_n:
-                continue
-            keep = {phi for phi in members[comp] if survives(comp, phi)}
-            removed_this_round += len(members[comp]) - len(keep)
-            members[comp] = keep
-        pruned_total += removed_this_round
-        if removed_this_round == 0:
-            break
+    last_round = 0
+    for n in range(max_n - 1, -1, -1):
+        with obs.span("constructibility.level", n=n) as sp:
+            level: dict[Computation, dict[ObserverFunction, float]] = {}
+            pairs = pruned = 0
+            for comp, phi in universe.pairs(n):
+                if not model.contains(comp, phi):
+                    continue
+                r = removal_round(comp, phi)
+                level.setdefault(comp, {})[phi] = r
+                pairs += 1
+                if r == inf:
+                    kept.append((comp, phi))
+                else:
+                    pruned += 1
+                    last_round = max(last_round, int(r))
+            if sp is not None:
+                sp.attrs.update(
+                    pairs=pairs, pruned=pruned, frontier_checks=frontier_checks
+                )
+            pruned_total += pruned
+            above = level
+            frontier_checks = 0
 
-    result_model = ExplicitModel(
-        ((comp, phi) for comp, phis in members.items() for phi in phis),
-        name=name or f"({model.name})* on n<={max_n}",
-    )
-    # Pairs at size k are sound once every chain of forced augmentations
-    # from size k has stabilized.  Convergence of the sweep means sizes
-    # < max_n reached a fixpoint *given* optimistic frontier pairs, so
-    # only the frontier itself is unsound.
     return ConstructibleVersionResult(
-        model=result_model,
+        model=_BoundedStar(
+            kept, model, universe, name or f"({model.name})* on n<={max_n}"
+        ),
         sound_max_nodes=max_n - 1,
-        rounds=rounds,
+        rounds=last_round + 1,
         pruned_pairs=pruned_total,
     )
 

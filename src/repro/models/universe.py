@@ -75,6 +75,15 @@ class Universe:
         """The instruction alphabet ``O``."""
         return self._alphabet
 
+    def __contains__(self, comp: object) -> bool:
+        """True iff ``comp`` is one of this universe's computations."""
+        return (
+            isinstance(comp, Computation)
+            and comp.num_nodes <= self.max_nodes
+            and all(op in self._alphabet for op in comp.ops)
+            and all(u < v for u, v in comp.dag.edges)
+        )
+
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------

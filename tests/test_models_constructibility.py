@@ -1,6 +1,11 @@
 """Tests for constructibility (Section 3) and Theorem 23 machinery."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
+
+from repro import obs
 
 from repro.core import N, ObserverFunction, R, W
 from repro.models import (
@@ -10,6 +15,7 @@ from repro.models import (
     SC,
     WN,
     WW,
+    ExplicitModel,
     Universe,
     augmentation_closed_at,
     augmentation_extensions,
@@ -177,6 +183,158 @@ class TestConstructibleVersion:
         res = constructible_version(LC, u)
         assert res.rounds >= 1
         assert res.pruned_pairs == 0
+
+    def test_nn_star_figures_at_five_nodes(self):
+        """EXPERIMENTS.md's Theorem 23 row: 2 rounds, 24 pairs pruned."""
+        u = Universe(max_nodes=5, locations=("x",), include_nop=False)
+        res = constructible_version(NN, u)
+        assert (res.rounds, res.pruned_pairs) == (2, 24)
+
+    def test_frontier_is_never_enumerated(self, monkeypatch):
+        """Only sizes below the frontier are enumerated; frontier pairs
+        are looked up in Δ, and ``model_pairs`` is not used at all."""
+        u = Universe(max_nodes=4, locations=("x",), include_nop=False)
+        sizes = []
+        real = Universe.computations_of_size
+
+        def spy(self, n, mask_range=None):
+            sizes.append(n)
+            return real(self, n, mask_range)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("constructible_version materialized Δ")
+
+        monkeypatch.setattr(Universe, "computations_of_size", spy)
+        monkeypatch.setattr(Universe, "model_pairs", forbidden)
+        res = constructible_version(NW, u)
+        assert sorted(sizes) == [0, 1, 2, 3]
+        assert max(c.num_nodes for c in res.model.computations()) == 3
+
+    def test_frontier_answered_by_delta(self):
+        u = Universe(max_nodes=3, locations=("x",), include_nop=False)
+        res = constructible_version(NN, u)
+        for comp in u.computations_of_size(3):
+            assert set(res.model.observers(comp)) == set(NN.observers(comp))
+            for phi in u.observers(comp):
+                assert res.model.contains(comp, phi) == NN.contains(comp, phi)
+        # Outside the universe nothing is a member, frontier size or not.
+        comp = next(u.computations_of_size(3)).augment(R("x"))
+        assert not any(
+            res.model.contains(comp, phi) for phi in u.observers(comp)
+        )
+        nop_comp = Universe(max_nodes=3, locations=("x",)).computations_of_size(3)
+        outside = next(c for c in nop_comp if N in c.ops)
+        assert not any(
+            res.model.contains(outside, phi) for phi in u.observers(outside)
+        )
+
+    def test_one_span_per_level(self):
+        u = Universe(max_nodes=4, locations=("x",), include_nop=False)
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            with obs.span("root"):
+                res = constructible_version(NW, u)
+            (root,) = obs.get().roots
+        finally:
+            obs.disable()
+            obs.reset()
+        levels = root.children
+        assert [sp.name for sp in levels] == ["constructibility.level"] * 4
+        assert [sp.attrs["n"] for sp in levels] == [3, 2, 1, 0]
+        assert sum(sp.attrs["pruned"] for sp in levels) == res.pruned_pairs
+        assert sum(sp.attrs["pairs"] for sp in levels) == sum(
+            1 for n in range(4) for c, p in u.pairs(n) if NW.contains(c, p)
+        )
+        assert levels[0].attrs["frontier_checks"] > 0
+        assert all(sp.attrs["frontier_checks"] == 0 for sp in levels[1:])
+
+
+def round_robin_constructible_version(model, universe):
+    """The round-robin greatest-fixpoint sweep, kept as a test oracle.
+
+    Materializes Δ over the whole universe, then re-tests every pair
+    below the frontier against the current survivors until a sweep
+    removes nothing.  Returns ``(survivors, rounds, pruned_pairs)``.
+    """
+    members = {}
+    for comp, phi in universe.model_pairs(model):
+        members.setdefault(comp, set()).add(phi)
+
+    def survives(comp, phi):
+        return all(
+            any(
+                phi2 in members.get(aug, ())
+                for aug, phi2 in augmentation_extensions(comp, phi, o)
+            )
+            for o in universe.alphabet
+        )
+
+    pruned_total = 0
+    rounds = 0
+    while True:
+        rounds += 1
+        removed_this_round = 0
+        for comp in list(members):
+            if comp.num_nodes >= universe.max_nodes:
+                continue
+            keep = {phi for phi in members[comp] if survives(comp, phi)}
+            removed_this_round += len(members[comp]) - len(keep)
+            members[comp] = keep
+        pruned_total += removed_this_round
+        if removed_this_round == 0:
+            break
+    survivors = ExplicitModel(
+        (comp, phi) for comp, phis in members.items() for phi in phis
+    )
+    return survivors, rounds, pruned_total
+
+
+DIFF_UNIVERSES = [
+    Universe(4, ("x",), include_nop=False),
+    Universe(3, ("x", "y"), include_nop=False),
+]
+
+
+def with_holes(model, universe, seed, rate=0.1):
+    """``model`` on ``universe`` with a seeded random ``rate`` of its
+    pairs dropped — pruning then cascades over several rounds."""
+    rng = random.Random(seed)
+    return ExplicitModel(
+        (pair for pair in universe.model_pairs(model) if rng.random() >= rate),
+        name=f"{model.name} with holes (seed {seed})",
+    )
+
+
+class TestAgainstRoundRobinOracle:
+    """The one-pass Δ* matches the round-robin sweep on every pair."""
+
+    def assert_same(self, model, universe):
+        survivors, rounds, pruned = round_robin_constructible_version(
+            model, universe
+        )
+        res = constructible_version(model, universe)
+        assert (res.rounds, res.pruned_pairs) == (rounds, pruned)
+        for comp, phi in universe.pairs():
+            assert res.model.contains(comp, phi) == survivors.contains(
+                comp, phi
+            ), (comp, phi)
+        return rounds
+
+    @pytest.mark.parametrize("universe", DIFF_UNIVERSES, ids=["n4x", "n3xy"])
+    @pytest.mark.parametrize("model", [NN, NW, WW, LC], ids=lambda m: m.name)
+    def test_zoo_models(self, model, universe):
+        self.assert_same(model, universe)
+
+    @pytest.mark.parametrize("universe", DIFF_UNIVERSES, ids=["n4x", "n3xy"])
+    def test_models_with_holes(self, universe):
+        rounds = [
+            self.assert_same(with_holes(base, universe, seed), universe)
+            for base in (NN, NW, WW)
+            for seed in range(3)
+        ]
+        assert max(rounds) >= 3, rounds
 
 
 class TestTheorem23OneStep:

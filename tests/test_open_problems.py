@@ -34,6 +34,17 @@ class TestExploreNW:
         assert "strictness candidates" in text
 
 
+class TestExploreNWAtFiveNodes:
+    def test_experiments_figures(self):
+        """EXPERIMENTS.md §7's n ≤ 5 row, pinned."""
+        universe = Universe(max_nodes=5, locations=("x",), include_nop=False)
+        report = explore_star_vs_lc(NW, universe)
+        assert (report.rounds, report.pruned_pairs) == (2, 3)
+        assert report.pairs_compared == 4734
+        assert not report.soundness_violations
+        assert min(c.num_nodes for c, _ in report.strictness_candidates) == 3
+
+
 class TestExploreNN:
     def test_nn_star_equals_lc(self):
         """For NN the same exploration confirms Theorem 23: no candidates.
@@ -45,6 +56,7 @@ class TestExploreNN:
         report = explore_star_vs_lc(NN, universe)
         assert report.star_equals_lc_on_fragment
         assert report.pruned_pairs > 0  # fig-4-class pairs were pruned
+        assert (report.rounds, report.pruned_pairs) == (2, 24)
 
     def test_report_dataclass_defaults(self):
         r = StarVsLcReport("X", 3, 2, 1, 0)
